@@ -20,7 +20,6 @@ from .distributions import (
 from .errors import (
     DomainError,
     GuardTimeError,
-    MultipleRootWarning,
     SolverError,
     SupportExhaustedError,
     UndefinedEstimandError,

@@ -24,6 +24,3 @@ class SolverError(VekitError):
 class GuardTimeError(DomainError):
     """A grid point precedes the guard time below which a transform is undefined."""
 
-
-class MultipleRootWarning(UserWarning):
-    """A root scan found more than one sign change; the returned root may not be unique."""

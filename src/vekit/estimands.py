@@ -7,9 +7,13 @@ comparing the test-vaccine arm (f1) to the control arm (f0):
   * ``ve_ir``:   theta = [F1/mu1] / [F0/mu0]          (incidence rate)
   * ``ve_ch``:   theta = Lam1(t) / Lam0(t)            (cumulative hazard)
   * ``ve_odds``: theta = odds1(t) / odds0(t)
-  * ``ve_cox``:  theta solves the weighted hazard-difference equation the
-    single-covariate proportional-hazards estimator converges to without
-    censoring (see :func:`ve_cox`).
+  * ``ve_cox``:  theta is the root of g(theta), the weighted
+    hazard-difference equation the single-covariate proportional-hazards
+    estimator converges to without censoring (see :func:`ve_cox`).
+
+g is strictly decreasing, so its root is unique: ``ve_cox`` brackets it,
+runs safeguarded Newton on one cached adaptive node set, and confirms the
+root with an independent adaptive quadrature of g.
 
 All functions are pure and evaluate at a single time; tolerances and the
 root-solver policy are fixed here, not configurable per call.
@@ -18,21 +22,13 @@ root-solver policy are fixed here, not configurable per call.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .distributions import SurvivalModel
-from .errors import (
-    DomainError,
-    MultipleRootWarning,
-    SolverError,
-    UndefinedEstimandError,
-)
-from .quadrature import fixed_simpson_nodes, integrate
+from .errors import DomainError, SolverError, UndefinedEstimandError
+from .quadrature import adaptive_nodes, integrate
 
 __all__ = [
     "Scenario",
@@ -54,12 +50,13 @@ __all__ = [
 
 CUMULATIVE_KINDS = ("ci", "ir", "cox", "ch", "odds")
 
-# ve_cox solver policy: bracket in log-theta, Brent to the stated widths,
-# one quadrature per g evaluation.
+# ve_cox solver policy: bracket, node-set tolerance, Newton stopping rule
+# (step in log-theta), and the residual the adaptive check must meet.
 _COX_BRACKET = (1e-8, 1e8)
 _COX_G_TOL = 1e-11
+_COX_STEP_TOL = 1e-12
+_COX_MAX_ITER = 100
 _COX_ROOT_TOL = 1e-10
-_COX_SCAN_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -140,83 +137,82 @@ def ve_local_hazard(s: Scenario, t: float) -> float:
     return 1.0 - s.f1.hazard(t) / lam0
 
 
-class _PairGrid:
-    """Hazard/survival evaluations of both arms on a shared node set."""
+def _cox_integrand(s: Scenario, theta: float):
+    """u -> S1 S0 (lam1 - theta lam0) / (theta S1 + S0), the integrand of g."""
+    f0, f1 = s.f0, s.f1
 
-    def __init__(self, s: Scenario, t: float):
-        knots = sorted(set(s.f0.knots()) | set(s.f1.knots()))
-        self.knots = [k for k in knots if 0.0 < k < t]
-        self.t = t
-        self.s = s
+    def integrand(x):
+        s0 = f0.survival(x)
+        s1 = f1.survival(x)
+        return s1 * s0 * (f1.hazard(x) - theta * f0.hazard(x)) / (theta * s1 + s0)
 
-    @cached_property
-    def scan_nodes(self):
-        x, w = fixed_simpson_nodes(0.0, self.t, self.knots)
-        return x, w, self.s.f0.hazard(x), self.s.f1.hazard(x), self.s.f0.survival(x), self.s.f1.survival(x)
-
-    def g(self, theta: float) -> float:
-        """Weighted hazard-difference functional at theta, by adaptive quadrature."""
-        f0, f1 = self.s.f0, self.s.f1
-
-        def integrand(x):
-            s0 = f0.survival(x)
-            s1 = f1.survival(x)
-            return s1 * s0 * (f1.hazard(x) - theta * f0.hazard(x)) / (theta * s1 + s0)
-
-        return integrate(integrand, 0.0, self.t, knots=self.knots, tol=_COX_G_TOL)
-
-    def g_scan(self, thetas: np.ndarray) -> np.ndarray:
-        """g on a theta grid via one shared fixed-node quadrature (diagnostic)."""
-        x, w, lam0, lam1, s0, s1 = self.scan_nodes
-        th = thetas[:, None]
-        vals = s1 * s0 * (lam1 - th * lam0) / (th * s1 + s0)
-        return vals @ w
+    return integrand
 
 
-def ve_cox(s: Scenario, t: float, diagnose_roots: bool = True) -> float:
+def _cox_root(s: Scenario, t: float, knots: list[float], theta: float) -> float:
+    """Root of g on one adaptive node set built on g's integrand at theta."""
+    x, w = adaptive_nodes(_cox_integrand(s, theta), 0.0, t, knots=knots, tol=_COX_G_TOL)
+    lam0, lam1 = s.f0.hazard(x), s.f1.hazard(x)
+    s0, s1 = s.f0.survival(x), s.f1.survival(x)
+    ws = w * s0 * s1
+
+    def g_and_slope(th: float) -> tuple[float, float]:
+        den = th * s1 + s0
+        return float(ws @ ((lam1 - th * lam0) / den)), -float(ws @ ((lam0 * s0 + lam1 * s1) / den**2))
+
+    lo, hi = _COX_BRACKET
+    g_lo, g_hi = g_and_slope(lo)[0], g_and_slope(hi)[0]
+    if not (0.0 < g_lo < math.inf and -math.inf < g_hi < 0.0):
+        raise SolverError(
+            f"no sign change for the hazard-ratio root: g({lo:g}) = {g_lo:.3e}, g({hi:g}) = {g_hi:.3e}"
+        )
+    u, u_lo, u_hi = math.log(theta), math.log(lo), math.log(hi)
+    for _ in range(_COX_MAX_ITER):
+        g, slope = g_and_slope(math.exp(u))
+        if g > 0.0:
+            u_lo = u
+        elif g < 0.0:
+            u_hi = u
+        else:
+            break
+        step = -g / (slope * math.exp(u))
+        if abs(step) <= _COX_STEP_TOL:
+            u += step
+            break
+        u = u + step if u_lo < u + step < u_hi else 0.5 * (u_lo + u_hi)
+    return math.exp(u)
+
+
+def ve_cox(s: Scenario, t: float) -> float:
     """VE implied by the uncensored single-covariate proportional-hazards fit.
 
-    Returns 1 - theta* where theta* solves
+    Returns 1 - theta* where theta* solves (Struthers & Kalbfleisch 1986)
 
-        0 = int_0^t  S1 S0 / (theta S1 + S0) * (lam1 - theta lam0)  du,
+        g(theta) = int_0^t  S1 S0 (lam1 - theta lam0) / (theta S1 + S0)  du = 0.
 
-    i.e. theta* is a ratio of hazard means weighted by
-    w(u) = S1 S0 / (theta S1 + S0).  theta is bracketed in [1e-8, 1e8] on
-    the log scale and solved by Brent's method; each g evaluation uses
-    knot-aware quadrature.  Uniqueness is not guaranteed for arbitrary
-    hazards, so by default g is also scanned on a 1024-point log grid and
-    a MultipleRootWarning is issued if it changes sign more than once.
+    g'(theta) = -int_0^t S1 S0 (lam0 S0 + lam1 S1) / (theta S1 + S0)^2 du
+    is negative whenever either arm has hazard mass on (0, t), so the root
+    is unique.  Undefined when F0(t) = 0.  g and g' are summed on one
+    adaptive node set built on g's integrand at theta0 = Lam1(t)/Lam0(t);
+    the bracket [1e-8, 1e8] must change sign there, and Newton in
+    log-theta bisects whenever a step would leave the shrinking bracket.
+    An independent adaptive quadrature must confirm |g(theta*)| <= 1e-10.
+    Adaptive Simpson can misjudge g at one theta (an error estimate that
+    cancels by chance), so a miss rebuilds the nodes at theta* and solves
+    once more; a second miss raises SolverError.
     """
     t = s._check_t(t)
-    grid = _PairGrid(s, t)
-    lo, hi = math.log(_COX_BRACKET[0]), math.log(_COX_BRACKET[1])
-    g_lo = grid.g(math.exp(lo))
-    g_hi = grid.g(math.exp(hi))
-    if g_lo == 0.0:
-        return 1.0 - _COX_BRACKET[0]
-    if g_hi == 0.0:
-        return 1.0 - _COX_BRACKET[1]
-    if np.sign(g_lo) == np.sign(g_hi):
-        raise SolverError(
-            "no sign change for the hazard-ratio root: "
-            f"g({_COX_BRACKET[0]:g}) = {g_lo:.3e}, g({_COX_BRACKET[1]:g}) = {g_hi:.3e}"
-        )
-    if diagnose_roots:
-        thetas = np.exp(np.linspace(lo, hi, _COX_SCAN_POINTS))
-        signs = np.sign(grid.g_scan(thetas))
-        changes = int(np.sum(np.abs(np.diff(signs[signs != 0.0]))) // 2)
-        if changes > 1:
-            warnings.warn(
-                f"g changes sign {changes} times on the scan grid; "
-                "the hazard-ratio root may not be unique",
-                MultipleRootWarning,
-            )
-    x_root = brentq(lambda x: grid.g(math.exp(x)), lo, hi, xtol=1e-12, rtol=8.9e-16)
-    theta = math.exp(x_root)
-    resid = grid.g(theta)
-    if abs(resid) > _COX_ROOT_TOL:
-        raise SolverError(f"root residual |g| = {abs(resid):.3e} exceeds {_COX_ROOT_TOL:g}")
-    return 1.0 - theta
+    cum0 = s.f0.cumulative_hazard(t)
+    if cum0 <= 0.0:
+        raise UndefinedEstimandError(f"F0({t:g}) = 0; hazard-ratio estimand undefined")
+    knots = [k for k in sorted(set(s.f0.knots()) | set(s.f1.knots())) if 0.0 < k < t]
+    theta = min(max(s.f1.cumulative_hazard(t) / cum0, _COX_BRACKET[0]), _COX_BRACKET[1])
+    for _ in range(2):
+        theta = _cox_root(s, t, knots, theta)
+        resid = integrate(_cox_integrand(s, theta), 0.0, t, knots=knots, tol=_COX_G_TOL)
+        if abs(resid) <= _COX_ROOT_TOL:
+            return 1.0 - theta
+    raise SolverError(f"root residual |g| = {abs(resid):.3e} exceeds {_COX_ROOT_TOL:g}")
 
 
 def weighted_mean_hazard_ratio(s: Scenario, t: float, w="control_hazard") -> float:

@@ -1,10 +1,13 @@
 """Knot-aware adaptive Simpson quadrature.
 
-Every integral in this package goes through :func:`integrate`: composite
-adaptive Simpson with the interval pre-split at the integrand's known
-discontinuity points (knots), absolute tolerance, and a hard recursion
-depth cap.  Subdivision is batched so the integrand is always called on
-arrays, which keeps many-knot models (dense tabulated CDFs) fast.
+One adaptive loop serves every integral in this package: composite
+adaptive Simpson with Richardson extrapolation, the interval pre-split at
+the integrand's known discontinuity points (knots), absolute tolerance,
+and a hard recursion depth cap.  :func:`integrate` returns the weighted
+sum of the accepted nodes; :func:`adaptive_nodes` returns the nodes and
+weights themselves, for integrals that are solved many times over one
+integrand shape.  Subdivision is batched so the integrand is always called
+on arrays, which keeps many-knot models (dense tabulated CDFs) fast.
 """
 
 from __future__ import annotations
@@ -33,6 +36,22 @@ def split_at_knots(a: float, b: float, knots: Iterable[float]) -> np.ndarray:
     return np.unique(np.concatenate(([a, b], inner)))
 
 
+def adaptive_nodes(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    knots: Iterable[float] = (),
+    tol: float = DEFAULT_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on which ``f`` integrates to ``tol`` over [a, b].
+
+    The rule can be reused for integrands that share ``f``'s shape: same
+    knots, same singular points.
+    """
+    x, w, _ = _refine(f, a, b, knots, tol, MAX_DEPTH)
+    return x, w
+
+
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -47,6 +66,20 @@ def integrate(
     array of values.  ``tol`` is an absolute tolerance for the whole
     integral; it is apportioned to pieces by width.
     """
+    _, w, fx = _refine(f, a, b, knots, tol, max_depth)
+    return float(w @ fx)
+
+
+def _refine(f, a, b, knots, tol, max_depth):
+    """The adaptive loop: nodes, weights and values of the accepted pieces.
+
+    Each piece compares Simpson on its halves with Simpson on the whole;
+    the Richardson-corrected estimate it keeps is Boole's rule, with
+    weights W/90 * (7, 32, 12, 32, 7) on its five points.  A piece is
+    accepted within its share of ``tol``, at the depth cap, when its
+    error is not a number (so NaN reaches the result instead of splitting
+    forever), or when its quarter points no longer separate from its edges.
+    """
     edges = split_at_knots(a, b, knots)
     lo = edges[:-1].copy()
     hi = edges[1:].copy()
@@ -54,72 +87,47 @@ def integrate(
     mid = 0.5 * (lo + hi)
 
     # Edge evaluations are nudged into the open piece; midpoints are interior.
-    f_lo = f(lo + EDGE_NUDGE * width)
-    f_mid = f(mid)
-    f_hi = f(hi - EDGE_NUDGE * width)
+    x_lo = lo + EDGE_NUDGE * width
+    x_hi = hi - EDGE_NUDGE * width
+    f_lo, f_mid, f_hi = f(x_lo), f(mid), f(x_hi)
     coarse = width / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
     tol_piece = tol * width / (b - a)
-    depth = np.zeros(lo.shape, dtype=int)
+    depth = 0
 
-    total = 0.0
+    xs, ws, fs = [], [], []
     while lo.size:
         m1 = 0.5 * (lo + mid)
         m2 = 0.5 * (mid + hi)
+        # Quarter points that round onto an edge (which may be a singular
+        # knot) collapse to the midpoint, and the piece is accepted.
+        stuck = (m1 <= lo) | (m2 >= hi)
+        m1 = np.where(stuck, mid, m1)
+        m2 = np.where(stuck, mid, m2)
         f_m1 = f(m1)
         f_m2 = f(m2)
-        h = mid - lo
-        left = h / 6.0 * (f_lo + 4.0 * f_m1 + f_mid)
+        left = (mid - lo) / 6.0 * (f_lo + 4.0 * f_m1 + f_mid)
         right = (hi - mid) / 6.0 * (f_mid + 4.0 * f_m2 + f_hi)
         err = (left + right - coarse) / 15.0
-        done = (np.abs(err) <= tol_piece) | (depth >= max_depth)
-        # Richardson extrapolation on the accepted pieces.
-        total += float(np.sum(left[done] + right[done] + err[done]))
+        done = ~(np.abs(err) > tol_piece) | stuck | (depth >= max_depth)
+        if done.any():
+            w90 = (hi[done] - lo[done]) / 90.0
+            xs += [x_lo[done], m1[done], mid[done], m2[done], x_hi[done]]
+            ws += [7.0 * w90, 32.0 * w90, 12.0 * w90, 32.0 * w90, 7.0 * w90]
+            fs += [f_lo[done], f_m1[done], f_mid[done], f_m2[done], f_hi[done]]
 
         keep = ~done
-        lo, mid_k, hi_k = lo[keep], mid[keep], hi[keep]
+        lo, mid_k, hi = lo[keep], mid[keep], hi[keep]
+        x_lo, x_hi = x_lo[keep], x_hi[keep]
         f_lo, f_mid_k, f_hi = f_lo[keep], f_mid[keep], f_hi[keep]
         m1, m2, f_m1, f_m2 = m1[keep], m2[keep], f_m1[keep], f_m2[keep]
-        left, right = left[keep], right[keep]
         tol_half = 0.5 * tol_piece[keep]
-        depth_next = depth[keep] + 1
+        depth += 1
 
-        lo = np.concatenate((lo, mid_k))
-        hi = np.concatenate((mid_k, hi_k))
+        lo, hi = np.concatenate((lo, mid_k)), np.concatenate((mid_k, hi))
+        x_lo, x_hi = np.concatenate((x_lo, mid_k)), np.concatenate((mid_k, x_hi))
         mid = np.concatenate((m1, m2))
-        f_lo = np.concatenate((f_lo, f_mid_k))
-        f_hi = np.concatenate((f_mid_k, f_hi))
+        f_lo, f_hi = np.concatenate((f_lo, f_mid_k)), np.concatenate((f_mid_k, f_hi))
         f_mid = np.concatenate((f_m1, f_m2))
-        coarse = np.concatenate((left, right))
+        coarse = np.concatenate((left[keep], right[keep]))
         tol_piece = np.concatenate((tol_half, tol_half))
-        depth = np.concatenate((depth_next, depth_next))
-    return total
-
-
-def fixed_simpson_nodes(
-    a: float,
-    b: float,
-    knots: Iterable[float] = (),
-    panels_per_piece: int = 8,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite-Simpson nodes and weights on a knot-split interval.
-
-    Non-adaptive companion to :func:`integrate` for scans that reuse one
-    node set across many integrands.  Edge nodes carry the same inward
-    nudge as :func:`integrate`.
-    """
-    edges = split_at_knots(a, b, knots)
-    nodes = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n = 2 * panels_per_piece
-        x = np.linspace(lo, hi, n + 1)
-        w = np.empty(n + 1)
-        h = (hi - lo) / n
-        w[0] = w[-1] = h / 3.0
-        w[1:-1:2] = 4.0 * h / 3.0
-        w[2:-1:2] = 2.0 * h / 3.0
-        x[0] += EDGE_NUDGE * (hi - lo)
-        x[-1] -= EDGE_NUDGE * (hi - lo)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return np.concatenate(xs), np.concatenate(ws), np.concatenate(fs)

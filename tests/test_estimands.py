@@ -5,10 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import quad
+from scipy.optimize import brentq
+
 from vekit import (
     DomainError,
     Exponential,
+    FrailtySpec,
+    HazardSegment,
+    PiecewiseHazard,
     Scenario,
+    SolverError,
+    SurvivalModel,
     TabulatedCdf,
     UndefinedEstimandError,
     Weibull,
@@ -24,7 +32,9 @@ from vekit import (
     ve_odds,
     weighted_mean_hazard_ratio,
 )
+from vekit.frailty import population_model
 from vekit.presets import preset_scenario
+from vekit.quadrature import integrate
 from vekit.rampup import build_scenario
 
 from conftest import cox_fixed_point_oracle, random_dominated_pair
@@ -174,8 +184,6 @@ def test_ve_cox_null_is_zero():
 
 
 def test_ve_cox_no_sign_change_reports_solver_failure():
-    from vekit import SolverError
-
     # no events ever in the test arm: the defining function is negative on
     # the whole bracket, so there is no root to report
     s = Scenario(
@@ -185,6 +193,126 @@ def test_ve_cox_no_sign_change_reports_solver_failure():
     )
     with pytest.raises(SolverError, match="sign change"):
         ve_cox(s, 200.0)
+
+
+def test_ve_cox_undefined_without_control_risk():
+    # the control arm is flat to 50: F0(20) = F1(20) = 0, then F0(20) = 0 < F1(20)
+    flat = TabulatedCdf([(0.0, 0.0), (50.0, 0.0), (100.0, 0.3)])
+    for f1 in (TabulatedCdf([(0.0, 0.0), (50.0, 0.0), (100.0, 0.2)]), TabulatedCdf([(0.0, 0.0), (100.0, 0.2)])):
+        with pytest.raises(UndefinedEstimandError):
+            ve_cox(Scenario(flat, f1, tau=100.0), 20.0)
+
+
+class _NanOnInterval(SurvivalModel):
+    """Constant hazard 0.01 whose evaluator returns NaN on [10, 20)."""
+
+    def hazard(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where((t >= 10.0) & (t < 20.0), np.nan, 0.01)
+
+    def cumulative_hazard(self, t):
+        return 0.01 * np.asarray(t, dtype=float)
+
+    def inverse_cumulative_hazard(self, h):
+        return np.asarray(h, dtype=float) / 0.01
+
+    def knots(self):
+        return [10.0, 20.0]
+
+
+def test_ve_cox_rejects_non_finite_integrand():
+    with pytest.raises(SolverError):
+        ve_cox(Scenario(Exponential(0.02), _NanOnInterval(), tau=50.0), 50.0)
+
+
+def _cox_g(s, t, theta, integral):
+    """g(theta) with the given integral(f, a, b) over the knot-split [0, t]."""
+
+    def h(u):
+        s0, s1 = s.f0.survival(u), s.f1.survival(u)
+        return s1 * s0 * (s.f1.hazard(u) - theta * s.f0.hazard(u)) / (theta * s1 + s0)
+
+    knots = sorted(k for k in set(s.f0.knots()) | set(s.f1.knots()) if 0.0 < k < t)
+    edges = [0.0, *knots, t]
+    return sum(integral(h, a, b) for a, b in zip(edges[:-1], edges[1:]))
+
+
+SINGULAR_KNOT_PAIR = Scenario(
+    Exponential(0.003),
+    PiecewiseHazard(
+        [
+            HazardSegment(0.0, 45.7987, "constant", (0.001,)),
+            HazardSegment(45.7987, 66.9748, "weibull_local", (0.9156, 40.0)),
+            HazardSegment(66.9748, None, "constant", (0.002,)),
+        ]
+    ),
+    tau=100.0,
+)
+
+
+@pytest.mark.parametrize("t", [50.0, 66.9748, 100.0])
+def test_ve_cox_weibull_local_singularity_at_interior_knot(t):
+    # the test-arm hazard is infinite at the knot 45.7987 itself
+    def scipy_g(theta):
+        return _cox_g(SINGULAR_KNOT_PAIR, t, theta, lambda h, a, b: quad(h, a, b, epsabs=1e-14, limit=200)[0])
+
+    ref = 1.0 - brentq(scipy_g, 1e-3, 1e3, xtol=1e-14, rtol=1e-14)
+    assert ve_cox(SINGULAR_KNOT_PAIR, t) == pytest.approx(ref, abs=1e-8)
+
+
+def test_ve_cox_rebuilds_nodes_when_the_adaptive_check_misses():
+    # Both hazards restart as power laws at the knot 41.7652.  At the root,
+    # adaptive Simpson accepts the piece next to the knot on an error
+    # estimate that cancels, 1.2e-9 off, so the first root fails the
+    # residual check and the solve repeats on nodes built there; it returns
+    # the root of that misjudged g, 2.3e-8 from the scipy root.
+    def arm(a, b, shape, scale, c):
+        return PiecewiseHazard(
+            [
+                HazardSegment(0.0, 41.7652, "linear", (a, b)),
+                HazardSegment(41.7652, 186.734, "weibull_local", (shape, scale)),
+                HazardSegment(186.734, None, "constant", (c,)),
+            ]
+        )
+
+    s = Scenario(
+        arm(0.00108755, 2.27062e-06, 2.21849, 323.576, 0.000822565),
+        arm(0.000917923, 2.99552e-06, 2.12318, 345.255, 0.000380281),
+        tau=363.634,
+    )
+    t = 130.794
+    scipy_g = lambda theta: _cox_g(s, t, theta, lambda h, a, b: quad(h, a, b, epsabs=1e-15, limit=200)[0])
+    ref = 1.0 - brentq(scipy_g, 0.5, 1.0, xtol=1e-15, rtol=1e-15)
+    assert ve_cox(s, t) == pytest.approx(ref, abs=1e-7)
+
+
+def _monotone_cases():
+    rng = np.random.default_rng(7)
+    yield from ((s, 1.0) for s in (random_dominated_pair(rng) for _ in range(6)))
+    yield Scenario(Weibull(0.6, 100.0), Weibull(0.8, 300.0), tau=100.0), 100.0
+    yield Scenario(Weibull(0.5, 50.0), Weibull(2.5, 80.0), tau=100.0), 100.0
+    yield SINGULAR_KNOT_PAIR, 100.0
+    yield build_scenario(3), 150.0
+    base0, base1 = Weibull(1.5, 200.0), Weibull(0.7, 900.0)
+    for spec in (FrailtySpec.gamma(2.0), FrailtySpec.positive_stable(0.5)):
+        yield Scenario(population_model(base0, spec), population_model(base1, spec), tau=365.0), 365.0
+
+
+def test_cox_score_strictly_decreasing():
+    # g'(theta) < 0 is why ve_cox needs no search for further roots
+    thetas = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 13))
+    adaptive = lambda h, a, b: integrate(h, a, b, tol=1e-10)
+    for s, t in _monotone_cases():
+        g = np.array([_cox_g(s, t, th, adaptive) for th in thetas])
+        assert np.all(np.diff(g) < 0.0), (s, t)
+        assert g[0] > 0.0 > g[-1]
+
+
+def test_ve_cox_matches_fixed_point_oracle_on_random_pairs():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        s = random_dominated_pair(rng)
+        assert ve_cox(s, 1.0) == pytest.approx(cox_fixed_point_oracle(s, 1.0), abs=1e-6)
 
 
 @pytest.mark.parametrize("panel", ["a", "b", "c", "d"])

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate as sp_integrate
 
 from vekit import DomainError
-from vekit.quadrature import fixed_simpson_nodes, integrate, split_at_knots
+from vekit.quadrature import adaptive_nodes, integrate, split_at_knots
 
 
 def test_polynomial_exactness():
@@ -46,8 +46,34 @@ def test_split_at_knots_filters_and_sorts():
         split_at_knots(1.0, 1.0, [])
 
 
-def test_fixed_simpson_nodes_weights():
-    x, w = fixed_simpson_nodes(0.0, 6.0, knots=[2.0])
+def test_adaptive_nodes_are_integrate_rule():
+    f = lambda x: np.where(x < 2.0, np.exp(-x), 3.0 * np.cos(x))
+    x, w = adaptive_nodes(f, 0.0, 6.0, knots=[2.0], tol=1e-12)
+    assert float(w @ f(x)) == integrate(f, 0.0, 6.0, knots=[2.0], tol=1e-12)
     assert w.sum() == pytest.approx(6.0, abs=1e-12)
-    # integrates a quadratic exactly up to the documented edge nudge
-    assert float(np.sum(w * x**2)) == pytest.approx(72.0, abs=1e-6)
+    ref = 1.0 - math.exp(-2.0) + 3.0 * (math.sin(6.0) - math.sin(2.0))
+    assert float(w @ f(x)) == pytest.approx(ref, abs=1e-10)
+    # the rule carries over to an integrand of the same shape
+    g = lambda x: 2.0 * f(x) + x
+    assert float(w @ g(x)) == pytest.approx(2.0 * ref + 18.0, abs=1e-9)
+
+
+def test_singularity_at_interior_knot_is_never_sampled():
+    # (x - k)^(-0.4) right of an interior knot k: bisection reaches pieces
+    # whose quarter points round onto k, where the integrand is infinite
+    k = 45.7987
+    f = lambda x: np.where(x < k, 1.0, np.abs(x - k) ** -0.4)
+    got = integrate(f, 0.0, 100.0, knots=[k], tol=1e-9)
+    assert math.isfinite(got)
+    assert got == pytest.approx(k + (100.0 - k) ** 0.6 / 0.6, abs=1e-5)
+
+
+def test_nan_interval_returns_nan_without_splitting_forever():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.where((x > 1.0) & (x < 2.0), np.nan, 1.0)
+
+    assert math.isnan(integrate(f, 0.0, 3.0))
+    assert sum(calls) < 100
